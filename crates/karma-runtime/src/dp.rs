@@ -418,7 +418,9 @@ impl ExchangeBuffers {
 pub struct DataParallelReport {
     /// Mean worker loss per step.
     pub losses: Vec<f32>,
-    /// Final parameter snapshot (identical across replicas).
+    /// Final parameter snapshot (identical across replicas): the one
+    /// parameter copy a call makes, taken after every replica was checked
+    /// in place with [`Sequential::same_params`].
     pub final_snapshot: Vec<f32>,
     /// Aggregate swap traffic across workers and steps.
     pub swapped_bytes: usize,
@@ -560,7 +562,8 @@ pub struct ChurnReport {
     pub losses: Vec<f32>,
     /// Pool size at each step's start.
     pub pool_sizes: Vec<usize>,
-    /// Final parameters (identical across surviving replicas).
+    /// Final parameters (identical across surviving replicas, checked
+    /// in place; see [`DataParallelReport::final_snapshot`]).
     pub final_snapshot: Vec<f32>,
     /// Aggregate swap traffic across workers and steps.
     pub swapped_bytes: usize,
@@ -798,9 +801,9 @@ fn run_churn(
         nets[0].len(),
         "buffers registered for a different net"
     );
-    let first = nets[0].snapshot();
+    // The head is compared with itself too, so a NaN weight fails.
     for n in nets.iter() {
-        assert_eq!(n.snapshot(), first, "replicas must start identical");
+        assert!(n.same_params(&nets[0]), "replicas must start identical");
     }
     let (per_worker, lr) = (cfg.per_worker, cfg.lr);
 
@@ -995,14 +998,13 @@ fn run_churn(
     }
     dead.sort_unstable();
 
-    let final_snapshot = nets[alive[0]].snapshot();
     for &i in &alive {
-        assert_eq!(
-            nets[i].snapshot(),
-            final_snapshot,
+        assert!(
+            nets[i].same_params(&nets[alive[0]]),
             "replicas diverged — exchange broke determinism"
         );
     }
+    let final_snapshot = nets[alive[0]].snapshot();
     let report = ChurnReport {
         losses,
         pool_sizes,
@@ -1100,9 +1102,9 @@ fn run_churn_channels(
         exec.n_blocks(),
         "exchange schedule / executor block mismatch"
     );
-    let first = nets[0].snapshot();
+    // The head is compared with itself too, so a NaN weight fails.
     for n in nets.iter() {
-        assert_eq!(n.snapshot(), first, "replicas must start identical");
+        assert!(n.same_params(&nets[0]), "replicas must start identical");
     }
     let (per_worker, lr) = (cfg.per_worker, cfg.lr);
 
@@ -1322,14 +1324,13 @@ fn run_churn_channels(
     }
     dead.sort_unstable();
 
-    let final_snapshot = nets[alive[0]].snapshot();
     for &i in &alive {
-        assert_eq!(
-            nets[i].snapshot(),
-            final_snapshot,
+        assert!(
+            nets[i].same_params(&nets[alive[0]]),
             "replicas diverged — exchange broke determinism"
         );
     }
+    let final_snapshot = nets[alive[0]].snapshot();
     let report = ChurnReport {
         losses,
         pool_sizes,
@@ -1763,6 +1764,97 @@ mod tests {
         let mut nets = replicas(2);
         let exec = ooc_exec(nets[0].len());
         train_churn(&mut nets, &exec, &xchg, &data, &churn_cfg(1), &faults);
+    }
+
+    /// Two replicas whose last parameter (the final dense bias's last
+    /// element) differs by one ulp.
+    fn replicas_one_ulp_apart() -> Vec<Sequential> {
+        let mut nets = replicas(2);
+        let bias = nets[1].layers.last_mut().unwrap().params_mut().pop();
+        let v = bias.unwrap().data.last_mut().unwrap();
+        *v = f32::from_bits(v.to_bits() + 1);
+        nets
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas must start identical")]
+    fn train_with_buffers_rejects_replicas_one_ulp_apart() {
+        let data = dataset();
+        let mut nets = replicas_one_ulp_apart();
+        let exec = ooc_exec(nets[0].len());
+        let xchg = ExchangeSchedule::new(vec![vec![2, 1], vec![0]], 3);
+        let bufs = ExchangeBuffers::register(&xchg, exec.boundaries(), nets[0].len());
+        train_with_buffers(&mut nets, &exec, &xchg, &bufs, &data, &churn_cfg(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas must start identical")]
+    fn channel_reference_rejects_replicas_one_ulp_apart() {
+        let data = dataset();
+        let mut nets = replicas_one_ulp_apart();
+        let exec = ooc_exec(nets[0].len());
+        let xchg = ExchangeSchedule::per_block(3);
+        train_channel_reference(&mut nets, &exec, &xchg, &data, 8, 0.05, 1);
+    }
+
+    /// A pass-through layer with one scalar weight whose update adds a
+    /// per-replica `skew` on top of the exchanged gradient, so replicas
+    /// that start identical part after one step.
+    struct Skewed {
+        w: Tensor,
+        skew: f32,
+    }
+
+    impl karma_tensor::Layer for Skewed {
+        fn forward(&self, x: &Tensor) -> Tensor {
+            x.clone()
+        }
+        fn backward(&self, _x: &Tensor, dy: &Tensor) -> (Tensor, ParamGrads) {
+            let grads = vec![Tensor::zeros(&[1])];
+            (dy.clone(), ParamGrads { grads })
+        }
+        fn params(&self) -> Vec<&Tensor> {
+            vec![&self.w]
+        }
+        fn update(&mut self, grads: &ParamGrads, alpha: f32) {
+            self.w.data[0] += alpha * grads.grads[0].data[0] + self.skew;
+        }
+        fn name(&self) -> &'static str {
+            "skewed"
+        }
+    }
+
+    fn skewed_replicas() -> Vec<Sequential> {
+        (0..2)
+            .map(|rank| {
+                let mut net = small_cnn(4, 77);
+                net.layers.push(Box::new(Skewed {
+                    w: Tensor::zeros(&[1]),
+                    skew: rank as f32,
+                }));
+                net
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas diverged")]
+    fn train_catches_replicas_that_diverge() {
+        let data = dataset();
+        let mut nets = skewed_replicas();
+        let exec = ooc_exec(nets[0].len());
+        let xchg = ExchangeSchedule::per_block(3);
+        train(&mut nets, &exec, &xchg, &data, 8, 0.05, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas diverged")]
+    fn channel_reference_catches_replicas_that_diverge() {
+        let data = dataset();
+        let mut nets = skewed_replicas();
+        let exec = ooc_exec(nets[0].len());
+        let xchg = ExchangeSchedule::per_block(3);
+        train_channel_reference(&mut nets, &exec, &xchg, &data, 8, 0.05, 1);
     }
 
     #[test]

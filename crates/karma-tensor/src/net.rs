@@ -136,12 +136,37 @@ impl Sequential {
         hits as f64 / labels.len() as f64
     }
 
-    /// Flat snapshot of all parameters (for bit-parity comparisons).
+    /// Flat copy of all parameters, in layer order then each layer's
+    /// [`Layer::params`] order — the checkpoint format [`Sequential::restore`]
+    /// reads back and the value bit-parity tests compare. One pre-sized
+    /// pass of slice copies. To check two nets for identical weights,
+    /// use [`Sequential::same_params`], which copies nothing.
     pub fn snapshot(&self) -> Vec<f32> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().into_iter().flat_map(|t| t.data.clone()))
-            .collect()
+        let params = || self.layers.iter().flat_map(|l| l.params());
+        let mut flat = Vec::with_capacity(params().map(|t| t.data.len()).sum());
+        for t in params() {
+            flat.extend_from_slice(&t.data);
+        }
+        flat
+    }
+
+    /// True when `other` holds exactly this net's parameters: the same
+    /// layer count, the same parameter shapes per layer and every value
+    /// equal under `f32 ==`, compared in place. The verdict on
+    /// same-architecture nets is that of `self.snapshot() ==
+    /// other.snapshot()`, so `-0.0` equals `0.0` and a NaN weight makes
+    /// even a net compared with itself differ. A different architecture
+    /// gives `false`, never a panic.
+    pub fn same_params(&self, other: &Sequential) -> bool {
+        self.layers.len() == other.layers.len()
+            && self.layers.iter().zip(&other.layers).all(|(a, b)| {
+                let (pa, pb) = (a.params(), b.params());
+                pa.len() == pb.len()
+                    && pa
+                        .iter()
+                        .zip(&pb)
+                        .all(|(ta, tb)| ta.shape == tb.shape && ta.data == tb.data)
+            })
     }
 
     /// Overwrite every parameter from a flat [`Sequential::snapshot`] of a
@@ -325,6 +350,84 @@ mod tests {
         let mut net = small_cnn(4, 5);
         let short = vec![0.0f32; net.snapshot().len() - 1];
         net.restore(&short);
+    }
+
+    /// A differently seeded `small_cnn(4, _)` holding `net`'s exact
+    /// parameters.
+    fn copy_of(net: &Sequential) -> Sequential {
+        let mut copy = small_cnn(4, 77);
+        copy.restore(&net.snapshot());
+        copy
+    }
+
+    /// Move one parameter value of `net` up by one ulp.
+    fn bump(net: &mut Sequential, layer: usize, param: usize, idx: usize) {
+        let v = &mut net.layers[layer].params_mut()[param].data[idx];
+        *v = f32::from_bits(v.to_bits() + 1);
+    }
+
+    #[test]
+    fn same_params_holds_on_a_copy_and_fails_one_ulp_off_at_either_end() {
+        let net = small_cnn(4, 5);
+        let copy = copy_of(&net);
+        assert!(net.same_params(&copy) && copy.same_params(&net));
+        assert!(net.same_params(&net));
+
+        let mut first = copy_of(&net);
+        bump(&mut first, 0, 0, 0);
+        assert!(!net.same_params(&first), "first weight one ulp off");
+
+        // The final dense layer's params are [w, b]: bump b's last value.
+        let mut last = copy_of(&net);
+        let l = net.len() - 1;
+        let n = net.layers[l].params()[1].data.len();
+        bump(&mut last, l, 1, n - 1);
+        assert!(!net.same_params(&last), "last bias one ulp off");
+    }
+
+    #[test]
+    fn same_params_is_false_without_panic_across_architectures() {
+        let cnn = small_cnn(4, 5);
+        for other in [
+            small_cnn(3, 5),
+            small_resnet_style(4, 5),
+            mlp_stack(1, 8, 4, 5),
+        ] {
+            assert!(!cnn.same_params(&other));
+            assert!(!other.same_params(&cnn));
+        }
+        assert!(!cnn.same_params(&Sequential::new(Vec::new())));
+    }
+
+    #[test]
+    fn same_params_follows_snapshot_equality_on_nan() {
+        // Flat `Vec<f32>` equality says NaN != NaN, so two nets holding
+        // the same NaN — even one net against itself — are not the same.
+        let mut net = small_cnn(4, 5);
+        net.layers[0].params_mut()[0].data[0] = f32::NAN;
+        let copy = copy_of(&net);
+        assert_ne!(net.snapshot(), copy.snapshot());
+        assert!(!net.same_params(&copy));
+        assert!(!net.same_params(&net));
+    }
+
+    #[test]
+    fn snapshot_is_the_per_parameter_concatenation() {
+        // Batch norm's gamma/beta included, in layer then parameter order.
+        let net = small_resnet_style(4, 5);
+        let mut expected = Vec::new();
+        for l in &net.layers {
+            for t in l.params() {
+                expected.extend(t.data.iter().copied());
+            }
+        }
+        assert!(net.layers.iter().any(|l| l.name() == "batchnorm"));
+        let flat = net.snapshot();
+        assert_eq!(flat.len(), expected.len());
+        assert!(flat
+            .iter()
+            .zip(&expected)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
